@@ -6,7 +6,7 @@
 import numpy as np
 
 from rayfuse import GridSpec, ProjectionTransform, make_camera_matrix
-from rayfuse.rays import brute_force_ray_oracle, construct_ray
+from rayfuse.rays import brute_force_ray_oracle, construct_ray, index_frame
 
 grid = GridSpec(origin=(4.0, -4.0, -4.0), voxel_size=(0.5, 0.5, 0.5), dims=(16, 16, 16))
 camera = make_camera_matrix(fx=60.0, fy=60.0, cx=32.0, cy=32.0, translation=(0.1, -0.05, 0.2))
@@ -30,9 +30,10 @@ assert all(vt.project(v) == pixel for v in ray.voxels)
 
 # and the fast construction agrees exactly with a full-grid scan
 oracle = brute_force_ray_oracle(vt, grid, pixel)
-assert ray.voxels == oracle.voxels
+assert ray.voxels == oracle.voxels and np.array_equal(ray.depths, oracle.depths)
 print("\nray construction matches the brute-force oracle, order included")
 
-# cost scales with the number of pixels you ask for, nothing else
-lengths = [len(construct_ray(vt, grid, (u, 8))) for u in range(16)]
+# many rays of one frame: project the grid once, then each ray is a slice
+index = index_frame(vt, grid)
+lengths = [len(construct_ray(vt, grid, (u, 8), index)) for u in range(16)]
 print("ray lengths across a scanline:", lengths)

@@ -23,7 +23,7 @@ from .pipeline import (
     run_fusion_pass,
     train_heads,
 )
-from .rays import brute_force_ray_oracle, construct_ray
+from .rays import brute_force_ray_oracle, construct_ray, index_frame
 from .sampler import heuristic_sample, partition_windows
 
 GRAD_TOL = 1e-4
@@ -142,15 +142,16 @@ def cmd_rays(args):
     vt = _transform(cfg, scene)
     fh, fw = vt.feature_dims
     rng = np.random.default_rng(cfg.scene.seed)
+    index = index_frame(vt, scene.grid)
     lengths = []
     checked = 0
     for _ in range(args.pixels):
         pixel = (int(rng.integers(0, fw)), int(rng.integers(0, fh)))
-        ray = construct_ray(vt, scene.grid, pixel)
+        ray = construct_ray(vt, scene.grid, pixel, index)
         lengths.append(len(ray))
         if args.verify:
             want = brute_force_ray_oracle(vt, scene.grid, pixel)
-            if ray.voxels != want.voxels:
+            if ray.voxels != want.voxels or not np.array_equal(ray.depths, want.depths):
                 emit.record("mismatch", pixel=list(pixel))
                 emit.close()
                 return 1
@@ -226,7 +227,7 @@ def cmd_bench(args):
     rows, slope, intercept, r2 = bench_rays(cfg, counts, threads=args.threads)
     for count, seconds in rows:
         emit.record("timing", rays=count, seconds=round(seconds, 6))
-    emit.record("summary", slope_us_per_ray=slope * 1e6, r_squared=r2, threads=args.threads, seed=cfg.scene.seed)
+    emit.record("summary", slope_us_per_ray=slope * 1e6, intercept_ms=intercept * 1e3, r_squared=r2, threads=args.threads, seed=cfg.scene.seed)
     emit.close()
     return 0
 
@@ -264,7 +265,7 @@ def build_parser():
     _common(p)
     p.add_argument("--mode", choices=["single", "local_aggregate", "local_propagate", "ray_wise"])
     p.add_argument("--radius", type=float)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help="accepted; ray building is single-threaded")
     p.set_defaults(fn=cmd_fuse)
 
     p = subs.add_parser("train", help="train the sampler head and coordinate MLP")
@@ -282,7 +283,7 @@ def build_parser():
     _common(p)
     p.add_argument("--grid", type=int, help="cubic grid dimension override")
     p.add_argument("--rays", default="512,1024,2048,4096")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help="accepted; ray building is single-threaded")
     p.set_defaults(fn=cmd_bench)
 
     p = subs.add_parser("show-config", help="print the resolved configuration")

@@ -15,7 +15,6 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -41,7 +40,7 @@ from .fusion import (
 )
 from .gradcheck import finite_diff_grad_check
 from .geometry import PointCloud, ProjectionTransform, compose_projection, make_camera_matrix, voxelize
-from .rays import construct_ray, mark_anchors
+from .rays import construct_ray, index_frame
 from .sampler import (
     gaussian_target_2d,
     head_scores,
@@ -307,16 +306,12 @@ def _sample_pixels(scene, cfg, vt, heads, rng):
 
 
 def build_rays(vt, grid, pixels, field, threads=1):
-    """Construct and anchor-mark rays for the given pixels, in pixel order."""
-    ordered = sorted(pixels)
+    """Construct and anchor-mark rays for the given pixels, in pixel order.
 
-    def job(pixel):
-        return mark_anchors(construct_ray(vt, grid, pixel), field)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(job, ordered))
-    return [job(p) for p in ordered]
+    Every ray is a slice of one frame index; ``threads`` is accepted and ignored.
+    """
+    index = index_frame(vt, grid, field)
+    return [construct_ray(vt, grid, p, index) for p in sorted(pixels)]
 
 
 def scene_losses(scene, cfg, heads, rays, feats_per_ray):
@@ -360,11 +355,10 @@ def ray_feature(scene, pixel):
 def run_fusion_pass(cfg, heads=None, scene=None, seed=None, threads=None):
     """Full pass: augment, voxelize, sample, rays, fuse, losses.
 
-    Errors from individual stages propagate tagged with the stage name.
-    Returns (fused VoxelField, RunReport).
+    Errors from individual stages propagate tagged with the stage name;
+    ``threads`` is ignored. Returns (fused VoxelField, RunReport).
     """
     seed = cfg.scene.seed if seed is None else seed
-    threads = cfg.train.threads if threads is None else threads
     rng = np.random.default_rng(seed + 1)
     heads = heads or FusionHeads(cfg.scene.channels, rng=np.random.default_rng(seed))
     report = RunReport(seed=seed)
@@ -396,7 +390,7 @@ def run_fusion_pass(cfg, heads=None, scene=None, seed=None, threads=None):
     report.occupancy_before = len(field)
 
     sample = stage("sample", _sample_pixels, scene, cfg, vt, heads, rng)
-    rays = stage("rays", build_rays, vt, scene.grid, sample.pixels, field, threads)
+    rays = stage("rays", build_rays, vt, scene.grid, sample.pixels, field)
     report.ray_count = len(rays)
     feats_per_ray = [ray_feature(scene, r.pixel) for r in rays]
 
@@ -450,7 +444,7 @@ def train_heads(cfg, scenes=None, steps=None, lr=None):
         vt = ProjectionTransform(scene.calib, scene.grid, cfg.camera.stride, (cfg.camera.image_h, cfg.camera.image_w))
         field = voxelize(scene.points, scene.grid, cfg.scene.channels)
         sample = _sample_pixels(scene, cfg, vt, heads, rng)
-        rays = build_rays(vt, scene.grid, sample.pixels, field, cfg.train.threads)
+        rays = build_rays(vt, scene.grid, sample.pixels, field)
         feats = [ray_feature(scene, r.pixel) for r in rays]
         prepared.append((scene, rays, feats))
 
@@ -503,9 +497,12 @@ def bench_rays(cfg, counts=(512, 1024, 2048, 4096), threads=1):
     rows = []
     for count in counts:
         pixels = [(int(u), int(v)) for u, v in zip(rng.integers(0, fw, count), rng.integers(0, fh, count))]
-        t0 = time.perf_counter()
-        build_rays(vt, scene.grid, pixels, field, threads)
-        rows.append((count, time.perf_counter() - t0))
+        times = []
+        for _ in range(3):  # keep the fastest, so a pause of the host does not bend the fit
+            t0 = time.perf_counter()
+            build_rays(vt, scene.grid, pixels, field, threads)
+            times.append(time.perf_counter() - t0)
+        rows.append((count, min(times)))
     xs = np.array([r[0] for r in rows], dtype=np.float64)
     ys = np.array([r[1] for r in rows], dtype=np.float64)
     if len(rows) == 1:

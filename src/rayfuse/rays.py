@@ -1,16 +1,17 @@
 """Per-pixel voxel rays: every voxel whose center projects into one feature cell.
 
 Membership is defined purely by the projection predicate (floor-projected
-pixel equality with positive depth). Construction walks the grid slab by
-slab along the dominant beam axis; each slab's candidate box is the AABB of
-the pixel beam's corner-ray crossings, padded by one voxel, and candidates
-are then filtered by the exact predicate. A brute-force full-grid scan with
-the same predicate serves as the verification oracle.
+pixel equality with positive depth). A frame index projects every grid voxel
+once, keeps those in front of the camera and on the feature map, and sorts
+them by (pixel, depth, i, j, k); the ray of a pixel is then one contiguous
+slice of it, nearest first. A brute-force full-grid scan with the same
+predicate and its own Python ordering serves as the verification oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,15 +35,6 @@ class Ray:
         return [lookup[a] for a in self.anchors]
 
 
-def _predicate_filter(vt, pixel, candidates):
-    """Exact membership: depth > 0 and floor projection equals the pixel."""
-    if candidates.shape[0] == 0:
-        return [], np.zeros(0)
-    uv, depth = vt.project_voxels(candidates)
-    hit = (depth > 0) & (uv[:, 0] == pixel[0]) & (uv[:, 1] == pixel[1])
-    return candidates[hit], depth[hit]
-
-
 def _order(voxels, depths):
     if len(voxels) == 0:
         return (), np.zeros(0)
@@ -55,65 +47,75 @@ def brute_force_ray_oracle(vt, grid, pixel):
     """Scan every voxel in the grid with the projection predicate."""
     if grid.n_voxels > ORACLE_VOXEL_LIMIT:
         raise ValueError(f"grid of {grid.n_voxels} voxels exceeds the oracle cost guard")
-    voxels, depths = _predicate_filter(vt, pixel, grid.all_indices())
-    ordered, d = _order(voxels, depths)
+    candidates = grid.all_indices()
+    uv, depth = vt.project_voxels(candidates)
+    hit = (depth > 0) & (uv[:, 0] == pixel[0]) & (uv[:, 1] == pixel[1])
+    ordered, d = _order(candidates[hit], depth[hit])
     return Ray(tuple(pixel), ordered, d)
 
 
-def construct_ray(vt, grid, pixel):
+def _occupied(voxels, voxel_field):
+    """Mask of the (N, 3) voxel rows that the field occupies, by linear voxel key."""
+    dims = voxel_field.grid.dims
+    occupied = np.array(list(voxel_field.occupancy), dtype=np.int64).reshape(-1, 3)
+    return np.isin(np.ravel_multi_index(voxels.T, dims), np.ravel_multi_index(occupied.T, dims))
+
+
+def _tuples(rows):
+    return tuple(map(tuple, rows.tolist()))
+
+
+class RayIndex(NamedTuple):
+    """One frame's voxels in front of the camera and on the feature map.
+
+    Rows are sorted by (pixel key v * width + u, depth, i, j, k), so each ray
+    is one slice; ``anchored`` marks rows whose voxel the field occupies.
+    """
+
+    keys: np.ndarray
+    voxels: np.ndarray
+    depths: np.ndarray
+    anchored: np.ndarray
+
+
+def index_frame(vt, grid, voxel_field=None):
+    """Project the whole grid once and group the visible voxels by feature pixel.
+
+    Grids above ``ORACLE_VOXEL_LIMIT`` voxels are projected in chunks of that
+    many rows, which bounds the projection's temporary arrays. With a field,
+    rows of occupied voxels are marked as anchors.
+    """
+    fh, fw = vt.feature_dims
+    indices = grid.all_indices()
+    parts = []
+    for start in range(0, len(indices), ORACLE_VOXEL_LIMIT):
+        chunk = indices[start : start + ORACLE_VOXEL_LIMIT]
+        uv, depth = vt.project_voxels(chunk)
+        keep = (depth > 0) & np.all((uv >= 0) & (uv < (fw, fh)), axis=1)
+        parts.append((uv[keep, 1] * fw + uv[keep, 0], chunk[keep], depth[keep]))
+    keys, voxels, depths = (np.concatenate(column) for column in zip(*parts))
+    order = np.lexsort((voxels[:, 2], voxels[:, 1], voxels[:, 0], depths, keys))
+    voxels = voxels[order]
+    anchored = np.zeros(len(order), dtype=bool) if voxel_field is None else _occupied(voxels, voxel_field)
+    return RayIndex(keys[order], voxels, depths[order], anchored)
+
+
+def construct_ray(vt, grid, pixel, index=None):
     """All voxels projecting into one feature pixel, nearest first.
 
     The pixel must lie on the feature map; a beam that misses the grid gives
-    an empty (still valid) ray.
+    an empty (still valid) ray. ``index``, the frame's ``index_frame``, saves
+    projecting the grid again for each ray of one frame.
     """
     if not vt.in_feature_bounds(pixel):
         raise ValueError(f"pixel {pixel} outside feature dims {vt.feature_dims}")
-    u, v = pixel
-    s = vt.stride
-    corners_px = [(u * s, v * s), ((u + 1) * s, v * s), (u * s, (v + 1) * s), ((u + 1) * s, (v + 1) * s)]
-    center = vt.camera_center()
-    dirs = np.array([vt.pixel_ray(pu, pv)[1] for pu, pv in corners_px])
-
-    axis = int(np.argmax(np.abs(dirs).sum(axis=0)))
-    if np.any(np.abs(dirs[:, axis]) < 1e-12) or len(set(np.sign(dirs[:, axis]))) != 1:
-        # beam straddles the slab direction: degenerate camera, scan everything
-        voxels, depths = _predicate_filter(vt, pixel, grid.all_indices())
-        ordered, d = _order(voxels, depths)
-        return Ray(tuple(pixel), ordered, d)
-
-    origin = np.asarray(grid.origin)
-    size = np.asarray(grid.voxel_size)
-    dims = np.asarray(grid.dims)
-    boxes: list[np.ndarray] = []
-    for k in range(int(dims[axis])):
-        faces = (origin[axis] + k * size[axis], origin[axis] + (k + 1) * size[axis])
-        ts = np.array([[(f - center[axis]) / d[axis] for f in faces] for d in dirs])
-        if ts.max() <= 0:
-            continue  # slab entirely behind the camera
-        pts = [center + t * d for d, row in zip(dirs, ts) for t in row if t > 0]
-        if ts.min() <= 0:
-            pts.append(center)  # camera sits inside or behind this slab
-        box = np.stack(pts)
-        lo = grid.index_of(box.min(axis=0)) - 1
-        hi = grid.index_of(box.max(axis=0)) + 1
-        lo = np.maximum(lo, 0)
-        hi = np.minimum(hi, dims - 1)
-        lo[axis] = max(k - 1, 0)
-        hi[axis] = min(k + 1, dims[axis] - 1)
-        if np.any(lo > hi):
-            continue
-        ii, jj, kk = np.meshgrid(*(np.arange(a, b + 1) for a, b in zip(lo, hi)), indexing="ij")
-        boxes.append(np.stack([ii, jj, kk], axis=-1).reshape(-1, 3))
-
-    if not boxes:
-        return Ray(tuple(pixel), (), np.zeros(0))
-    candidates = np.unique(np.concatenate(boxes, axis=0), axis=0)
-    voxels, depths = _predicate_filter(vt, pixel, candidates)
-    ordered, d = _order(voxels, depths)
-    return Ray(tuple(pixel), ordered, d)
+    keys, voxels, depths, anchored = index_frame(vt, grid) if index is None else index
+    key = pixel[1] * vt.feature_dims[1] + pixel[0]
+    lo, hi = np.searchsorted(keys, (key, key + 1))
+    return Ray(tuple(pixel), _tuples(voxels[lo:hi]), depths[lo:hi].copy(), _tuples(voxels[lo:hi][anchored[lo:hi]]))
 
 
 def mark_anchors(ray, voxel_field):
     """Tag the ray's voxels that contain LiDAR points, order preserved."""
-    anchors = tuple(v for v in ray.voxels if v in voxel_field.occupancy)
-    return Ray(ray.pixel, ray.voxels, ray.depths, anchors)
+    voxels = np.array(ray.voxels, dtype=np.int64).reshape(-1, 3)
+    return Ray(ray.pixel, ray.voxels, ray.depths, _tuples(voxels[_occupied(voxels, voxel_field)]))

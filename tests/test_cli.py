@@ -1,8 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
+from rayfuse import cli
 from rayfuse.cli import main
+from rayfuse.rays import Ray
 
 
 def read_records(path):
@@ -48,9 +51,22 @@ def test_sample_modes(tmp_path, mode):
 
 def test_rays_with_verification(tmp_path):
     out = tmp_path / "rays.jsonl"
-    assert main(["rays", "--out", str(out), "--pixels", "40", "--verify"]) == 0
+    assert main(["rays", "--out", str(out), "--verify"]) == 0
     s = summary_of(out)
-    assert s["verified"] == 40
+    assert s["verified"] == s["pixels"] == 64
+
+
+def test_rays_verify_compares_depths(tmp_path, monkeypatch):
+    construct_ray = cli.construct_ray
+
+    def nudged(*args):
+        ray = construct_ray(*args)
+        return Ray(ray.pixel, ray.voxels, np.nextafter(ray.depths, np.inf), ray.anchors)
+
+    monkeypatch.setattr(cli, "construct_ray", nudged)
+    out = tmp_path / "rays.jsonl"
+    assert main(["rays", "--out", str(out), "--pixels", "40", "--verify"]) == 1
+    assert [r["record"] for r in read_records(out)] == ["mismatch"]
 
 
 def test_fuse_deterministic_hash(tmp_path):
@@ -89,7 +105,9 @@ def test_bench(tmp_path):
     assert rc == 0
     records = read_records(out)
     assert sum(1 for r in records if r["record"] == "timing") == 3
-    assert summary_of(out)["slope_us_per_ray"] > 0
+    s = summary_of(out)
+    assert s["slope_us_per_ray"] > 0
+    assert isinstance(s["intercept_ms"], float)
 
 
 def test_show_config(capsys):

@@ -1,16 +1,19 @@
 import math
+import types
 import warnings
 
 import numpy as np
 import pytest
 
+from rayfuse import pipeline
 from rayfuse.augment import SampledObject, save_object_db
 from rayfuse.config import PipelineConfig, dump_config, load_config
-from rayfuse.geometry import PointCloud, ProjectionTransform, voxelize
+from rayfuse.geometry import PointCloud, ProjectionTransform, VoxelField, voxelize
 from rayfuse.pipeline import (
     FusionHeads,
     SceneGenError,
     bench_rays,
+    build_rays,
     field_digest,
     gen_scene,
     gradient_check,
@@ -196,6 +199,35 @@ class TestRunFusionPass:
         _, aug_report = run_fusion_pass(aug, scene=scene)
         # pasted object points add occupancy (none of the scene sits behind it)
         assert aug_report.occupancy_before > plain_report.occupancy_before
+
+
+class TestBuildRays:
+    def frame(self):
+        cfg = cfg_with()
+        scene = gen_scene(cfg)
+        vt = ProjectionTransform(scene.calib, scene.grid, cfg.camera.stride, (cfg.camera.image_h, cfg.camera.image_w))
+        return vt, scene.grid, voxelize(scene.points, scene.grid, cfg.scene.channels)
+
+    def test_off_map_pixel_names_the_pixel(self):
+        vt, grid, field = self.frame()
+        with pytest.raises(ValueError, match=r"pixel \(99, 0\) outside feature dims"):
+            build_rays(vt, grid, [(0, 0), (99, 0)], field)
+
+    def test_off_map_pixel_is_a_rays_stage_error(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "_sample_pixels", lambda *args: types.SimpleNamespace(pixels=[(99, 0)]))
+        with pytest.raises(RuntimeError, match=r"^stage rays: pixel \(99, 0\)"):
+            run_fusion_pass(cfg_with())
+
+    def test_no_pixels_no_rays(self):
+        vt, grid, field = self.frame()
+        assert build_rays(vt, grid, [], field) == []
+
+    def test_empty_field_gives_no_anchors(self):
+        vt, grid, field = self.frame()
+        fh, fw = vt.feature_dims
+        rays = build_rays(vt, grid, [(u, v) for u in range(fw) for v in range(fh)], VoxelField(grid))
+        assert any(len(r) for r in rays)
+        assert all(r.anchors == () for r in rays)
 
 
 class TestTrainHeads:

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 from conftest import default_transform, front_grid, random_cloud_in_view, random_valid_transform
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rayfuse.geometry import GridSpec, VoxelField, voxelize
+from rayfuse.geometry import GridSpec, ProjectionTransform, VoxelField, make_camera_matrix, voxelize
+from rayfuse.pipeline import build_rays
 from rayfuse.rays import brute_force_ray_oracle, construct_ray, mark_anchors
 
 
@@ -153,3 +156,62 @@ class TestMarkAnchors:
         ray, field = self.make_ray_and_field([(2, 0, 0), (5, 0, 0)])
         marked = mark_anchors(ray, field)
         assert marked.anchor_positions() == [2, 5]
+
+
+@st.composite
+def frames(draw):
+    """(transform, grid, pixels, field): a random pinhole camera over an odd grid.
+
+    Grids are anisotropic, down to one voxel thick, at most 12 per side. The
+    camera sits inside the grid or up to a few meters outside it, looking at
+    a random point of the grid with a random roll, or down a grid axis.
+    Fields of view reach wide enough that a pixel beam straddles the axis it
+    mostly runs along. Strides need not divide the image dims.
+    """
+    dims = tuple(draw(st.integers(1, 12)) for _ in range(3))
+    size = tuple(draw(st.floats(0.1, 0.8)) for _ in range(3))
+    grid = GridSpec((0.0, 0.0, 0.0), size, dims)
+    extent = np.asarray(size) * np.asarray(dims)
+    inside = draw(st.booleans())
+    pos = extent * np.array([draw(st.floats(0.0, 1.0) if inside else st.floats(-1.5, 2.5)) for _ in range(3)])
+    forward = extent * np.array([draw(st.floats(0.0, 1.0)) for _ in range(3)]) - pos
+    up = np.array([draw(st.floats(-1.0, 1.0)) for _ in range(3)])
+    if draw(st.booleans()):  # axis-aligned: whole slabs share one depth, so the (i, j, k) tie rule decides
+        forward, up = (np.where(np.abs(a) == np.abs(a).max(), np.sign(a), 0.0) for a in (forward, up))
+    right = np.cross(forward, up)
+    if np.linalg.norm(forward) < 1e-3 or np.linalg.norm(right) < 1e-3 * np.linalg.norm(forward):
+        forward, right = np.array([1.0, 0.0, 0.0]), np.array([0.0, -1.0, 0.0])
+    rotation = np.stack([right, np.cross(forward, right), forward])
+    rotation /= np.linalg.norm(rotation, axis=1, keepdims=True)
+    h, w = draw(st.integers(4, 40)), draw(st.integers(4, 40))
+    fx = 10.0 ** draw(st.floats(-0.5, 2.0))
+    mat = make_camera_matrix(
+        fx, fx * draw(st.floats(0.5, 2.0)), draw(st.floats(0.0, w)), draw(st.floats(0.0, h)),
+        rotation=rotation, translation=-rotation @ pos,
+    )
+    vt = ProjectionTransform(mat, grid, draw(st.integers(1, 7)), (h, w))
+    fh, fw = vt.feature_dims
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # half the pixels are where some voxel lands, so most rays are non-empty
+    uv, depth = vt.project_voxels(grid.all_indices())
+    hits = [(int(u), int(v)) for (u, v), d in zip(uv, depth) if d > 0 and 0 <= u < fw and 0 <= v < fh]
+    pixels = [(int(rng.integers(fw)), int(rng.integers(fh))) for _ in range(4)]
+    pixels += [hits[i] for i in rng.integers(len(hits), size=4)] if hits else []
+    field = VoxelField(grid)
+    for idx in grid.all_indices()[rng.random(grid.n_voxels) < 0.3]:
+        field.set(idx, [1.0])
+    return vt, grid, pixels, field
+
+
+@settings(max_examples=60, deadline=None)
+@given(frames())
+def test_index_equals_oracle(frame):
+    vt, grid, pixels, field = frame
+    for pixel in pixels:
+        assert_same_ray(construct_ray(vt, grid, pixel), brute_force_ray_oracle(vt, grid, pixel))
+    rays = build_rays(vt, grid, pixels, field)
+    assert [r.pixel for r in rays] == sorted(pixels)
+    for ray in rays:
+        assert_same_ray(ray, brute_force_ray_oracle(vt, grid, ray.pixel))
+        assert list(ray.anchors) == [v for v in ray.voxels if v in field.occupancy]
+        assert mark_anchors(ray, field).anchors == ray.anchors
