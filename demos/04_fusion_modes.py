@@ -26,7 +26,7 @@ for mode in ("single", "local_aggregate", "local_propagate", "ray_wise"):
 
 # look inside one ray: weights vs their Gaussian supervision
 heads = FusionHeads(cfg.scene.channels, rng=np.random.default_rng(cfg.scene.seed))
-pixel = vt.project(sorted(field.occupancy)[len(field.occupancy) // 2])
+pixel = vt.project(field.indices()[len(field) // 2])
 ray = build_rays(vt, scene.grid, [pixel], field)[0]
 weights = score_ray(ray, ray_feature(scene, ray.pixel), heads.mlp_for(0), scene.grid)
 target = gaussian_target_3d(ray, scene.grid, cfg.fusion.radius, cfg.fusion.target_sigma)

@@ -16,14 +16,9 @@ from .fusion import (
     FusionConfig,
     RayWeights,
     Target3D,
-    coord_embed,
-    fuse_local,
-    fuse_ray,
-    fuse_rays,
-    fuse_single,
+    fuse,
     gaussian_target_3d,
     ray_loss,
-    ray_weight,
     score_ray,
     select_top,
 )

@@ -464,6 +464,9 @@ class Module2D:
         self.layers = list(layers)
 
     def __call__(self, x):
+        x = as_tensor(x)
+        if not np.isfinite(x.data).all():
+            raise ValueError("conv input contains non-finite values")
         for layer in self.layers:
             x = layer(x)
         return x
@@ -503,19 +506,6 @@ class MLP:
         for layer in self.layers:
             out.extend(layer.params())
         return out
-
-
-def conv2d_forward(x, module):
-    """Run a Module2D on a (C, H, W) tensor; rejects non-finite input."""
-    x = as_tensor(x)
-    if not np.isfinite(x.data).all():
-        raise ValueError("conv input contains non-finite values")
-    return module(x)
-
-
-def mlp_forward(x, mlp):
-    """Run an MLP on a (D,) or (N, D) tensor."""
-    return mlp(as_tensor(x))
 
 
 def collect_params(*modules):

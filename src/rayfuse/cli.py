@@ -88,7 +88,7 @@ def cmd_project(args):
     scene = gen_scene(cfg)
     vt = _transform(cfg, scene)
     field = voxelize(scene.points, scene.grid, cfg.scene.channels)
-    indices = sorted(field.occupancy)
+    indices = field.indices()
     hits = behind = out_of_image = 0
     for idx in indices:
         px = vt.project(idx)

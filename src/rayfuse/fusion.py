@@ -13,6 +13,7 @@ the radius, trained with focal loss.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -25,7 +26,6 @@ from .autodiff import (
     Tensor,
     as_tensor,
     concat,
-    matmul,
     mul,
     reshape,
     sigmoid,
@@ -51,7 +51,6 @@ class FusionConfig:
     gamma: float = 2.0
     alpha: float = 0.25
     training: bool = True
-    stage: int = 1  # only stage-1 geometry is exercised here
 
     def __post_init__(self):
         if self.mode not in FUSION_MODES:
@@ -60,6 +59,8 @@ class FusionConfig:
             raise ValueError("radius must be >= 0")
         if not 0.0 < self.top_fraction <= 1.0:
             raise ValueError("top_fraction must be in (0, 1]")
+        if self.sigma is not None and self.sigma < 0:
+            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
 
     @property
     def target_sigma(self):
@@ -105,26 +106,14 @@ def normalized_coords(voxels, grid):
     return idx / span
 
 
-def coord_embed(voxel_index, grid, mlp):
-    """Coordinate embedding of one voxel, shape (C,)."""
-    return mlp(Tensor(normalized_coords([voxel_index], grid)[0]))
-
-
-def ray_weight(image_feat, voxel_embed):
-    """Sigmoid inner product of an image feature and a coordinate embedding."""
-    image_feat = as_tensor(image_feat)
-    voxel_embed = as_tensor(voxel_embed)
-    if image_feat.data.shape != voxel_embed.data.shape:
-        raise ValueError(f"feature length {image_feat.data.shape} != embedding {voxel_embed.data.shape}")
-    return sigmoid(matmul(image_feat, voxel_embed))
-
-
 def score_ray(ray, image_feat, mlp, grid):
     """Fusion probability of every voxel on a ray, batched through the MLP."""
     if len(ray.voxels) == 0:
         return RayWeights(ray, Tensor(np.zeros(0)))
     embeds = mlp(Tensor(normalized_coords(ray.voxels, grid)))  # (N, C)
     feat = as_tensor(image_feat)
+    if feat.data.shape != embeds.data.shape[1:]:
+        raise ValueError(f"feature length {feat.data.shape} != embedding {embeds.data.shape[1:]}")
     logits = tsum(mul(embeds, feat), axis=1)
     return RayWeights(ray, sigmoid(logits))
 
@@ -211,114 +200,82 @@ def select_top(scored, occupancy_count, top_fraction=TOP_FRACTION, infer_thresho
     return admissible[: min(k, len(admissible))]
 
 
-def _commit(field, voxel, weight, feature_row):
-    # additive update; a zero weight writes nothing at all
-    if weight == 0.0:
-        return
-    field.add(voxel, weight * feature_row)
+def _ball_weights(dist, sigma):
+    # Gaussian of the distance, 1 at the anchor; sigma 0 is the indicator of
+    # the anchor, as in gaussian_target_3d. math.exp, not np.exp: the two
+    # differ in the last bit on some inputs.
+    if sigma == 0:
+        return (dist == 0.0).astype(np.float64)
+    return np.array([1.0 if d == 0.0 else math.exp(-(d**2) / (2.0 * sigma**2)) for d in dist])
 
 
-def fuse_ray(field, ray, image_feat, mlp, fuse_conv, cfg, weights=None):
-    """Ray-wise fusion of a single ray into a copy of the field.
+def fuse(field, rays, image_feats, mlp, fuse_conv, cfg, weights_list=None):
+    """Fuse a frame's rays into one copy of the field in mode ``cfg.mode``.
 
-    ``weights`` may carry precomputed scores (e.g. shared with the loss);
-    otherwise the ray is scored here.
+    Each ray's fused features come from its own MLP and fuse-conv calls.
+    Every (voxel, weight * feature) update with a nonzero weight is then
+    added in ascending (ray, position) order, local modes in anchor order
+    and then ball order, so float sums do not depend on how a frame is
+    batched. A zero weight writes nothing.
+
+    single: anchors get their own feature with weight 1. local_aggregate:
+    each anchor collects the features of the ray voxels within
+    ``cfg.radius``, Gaussian-weighted by distance; local_propagate: each of
+    those voxels receives the anchor's feature, weighted alike. ray_wise:
+    the voxels of every ray compete for k = ceil(top_fraction * pre-fusion
+    occupancy) slots by their ``score_ray`` weight (``weights_list`` may
+    carry precomputed weights), and the picked voxels get their feature
+    times that weight, empty voxels included.
+
+    Returns (fused field, fused count): the number of anchors of all rays,
+    or in ray_wise the number of voxels picked.
     """
-    if cfg.mode != "ray_wise":
-        raise ValueError("fuse_ray runs in ray_wise mode; see fuse_single / fuse_local")
-    out = field.copy()
-    if len(ray.voxels) == 0:
-        return out
-    if weights is None:
-        weights = score_ray(ray, image_feat, mlp, grid=field.grid)
-    scored = list(zip(ray.voxels, weights.values))
-    thr = None if cfg.training else cfg.infer_threshold
-    picked = select_top(scored, len(field.occupancy), cfg.top_fraction, thr)
-    if not picked:
-        return out
-    embeds = mlp(Tensor(normalized_coords([ray.voxels[i] for i in picked], field.grid)))
-    updates = fused_features(image_feat, embeds, fuse_conv).data
-    for row, i in enumerate(picked):
-        _commit(out, ray.voxels[i], weights.values[i], updates[row])
-    return out
-
-
-def fuse_rays(field, rays, image_feats, mlp, fuse_conv, cfg, weights_list=None):
-    """Ray-wise fusion of a whole frame with one global top-quarter selection.
-
-    Candidates from every ray compete for k = ceil(top_fraction * pre-fusion
-    occupancy) slots; updates are committed in ascending (ray, position)
-    order so results are independent of scoring parallelism. Returns
-    (fused field, per-ray weights, selected (ray_index, position) pairs).
-    """
-    if weights_list is None:
-        weights_list = [score_ray(ray, feat, mlp, field.grid) for ray, feat in zip(rays, image_feats)]
-    scored = []
-    entry_pos = []
-    for ri, (ray, w) in enumerate(zip(rays, weights_list)):
-        for pos, (voxel, score) in enumerate(zip(ray.voxels, w.values)):
-            scored.append((voxel, score))
-            entry_pos.append((ri, pos))
-    thr = None if cfg.training else cfg.infer_threshold
-    picked = select_top(scored, len(field.occupancy), cfg.top_fraction, thr)
-    chosen = sorted(entry_pos[i] for i in picked)
-
-    out = field.copy()
-    by_ray: dict[int, list[int]] = {}
-    for ri, pos in chosen:
-        by_ray.setdefault(ri, []).append(pos)
-    for ri in sorted(by_ray):
-        ray, w = rays[ri], weights_list[ri]
-        positions = by_ray[ri]
-        embeds = mlp(Tensor(normalized_coords([ray.voxels[p] for p in positions], field.grid)))
-        updates = fused_features(image_feats[ri], embeds, fuse_conv).data
-        for row, pos in enumerate(positions):
-            _commit(out, ray.voxels[pos], w.values[pos], updates[row])
-    return out, weights_list, chosen
-
-
-def fuse_single(field, ray, image_feat, mlp, fuse_conv):
-    """Point-to-point fusion: anchors only, weight 1."""
-    out = field.copy()
-    if not ray.anchors:
-        return out
-    embeds = mlp(Tensor(normalized_coords(ray.anchors, field.grid)))
-    updates = fused_features(image_feat, embeds, fuse_conv).data
-    for anchor, row in zip(ray.anchors, updates):
-        _commit(out, anchor, 1.0, row)
-    return out
-
-
-def fuse_local(field, ray, image_feat, mlp, fuse_conv, mode, radius, sigma=None):
-    """Gaussian-ball fusion around anchors, aggregate or propagate flavour.
-
-    aggregate: each anchor collects weighted features of ray voxels within
-    its ball. propagate: each ball voxel receives the anchor's fused feature,
-    weighted. Voxels outside every ball are untouched. radius 0 reduces both
-    to fuse_single.
-    """
-    if mode not in ("aggregate", "propagate"):
-        raise ValueError(f"local fusion mode must be aggregate or propagate, got {mode!r}")
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
-    sigma = radius / 2.0 if sigma is None else sigma
-    out = field.copy()
-    if not ray.anchors or len(ray.voxels) == 0:
-        return out
-    embeds = mlp(Tensor(normalized_coords(ray.voxels, field.grid)))
-    updates = fused_features(image_feat, embeds, fuse_conv).data
-    row_of = {v: i for i, v in enumerate(ray.voxels)}
-    pos = np.asarray(ray.voxels, dtype=np.float64)
-    for anchor in ray.anchors:
-        dist = np.sqrt(((pos - np.asarray(anchor, dtype=np.float64)) ** 2).sum(axis=1))
-        for i in np.flatnonzero(dist <= radius):
-            d = dist[i]
-            g = 1.0 if d == 0.0 else math.exp(-(d**2) / (2.0 * sigma**2))
-            if mode == "aggregate":
-                _commit(out, anchor, g, updates[i])
+    grid = field.grid
+    targets, weights, rows = [], [], []
+    if cfg.mode == "ray_wise":
+        if weights_list is None:
+            weights_list = [score_ray(ray, feat, mlp, grid) for ray, feat in zip(rays, image_feats)]
+        scored = [(v, s) for ray, w in zip(rays, weights_list) for v, s in zip(ray.voxels, w.values)]
+        entry = [(ri, pos) for ri, ray in enumerate(rays) for pos in range(len(ray.voxels))]
+        thr = None if cfg.training else cfg.infer_threshold
+        chosen = sorted(entry[i] for i in select_top(scored, len(field), cfg.top_fraction, thr))
+        for ri, picks in itertools.groupby(chosen, key=lambda e: e[0]):
+            positions = [pos for _, pos in picks]
+            voxels = np.asarray(rays[ri].voxels)[positions]
+            targets.append(voxels)
+            weights.append(weights_list[ri].values[positions])
+            rows.append(fused_features(image_feats[ri], mlp(Tensor(normalized_coords(voxels, grid))), fuse_conv).data)
+        count = len(chosen)
+    else:
+        for ray, feat in zip(rays, image_feats):
+            if not ray.anchors:
+                continue
+            if cfg.mode == "single":
+                anchors = np.asarray(ray.anchors)
+                targets.append(anchors)
+                weights.append(np.ones(len(anchors)))
+                rows.append(fused_features(feat, mlp(Tensor(normalized_coords(anchors, grid))), fuse_conv).data)
+                continue
+            voxels = np.asarray(ray.voxels)
+            updates = fused_features(feat, mlp(Tensor(normalized_coords(voxels, grid))), fuse_conv).data
+            at = ray.anchor_positions()
+            pos = voxels.astype(np.float64)
+            dist = np.sqrt(((pos[None, :, :] - pos[at][:, None, :]) ** 2).sum(axis=2))  # (anchors, voxels)
+            a, v = np.nonzero(dist <= cfg.radius)
+            weights.append(_ball_weights(dist[a, v], cfg.target_sigma))
+            if cfg.mode == "local_aggregate":
+                targets.append(voxels[at][a])
+                rows.append(updates[v])
             else:
-                _commit(out, ray.voxels[i], g, updates[row_of[anchor]])
-    return out
+                targets.append(voxels[v])
+                rows.append(updates[at][a])
+        count = sum(len(ray.anchors) for ray in rays)
+    out = field.copy()
+    if weights:
+        w = np.concatenate(weights)
+        nonzero = w != 0.0
+        out.add_at(np.concatenate(targets)[nonzero], w[nonzero, None] * np.concatenate(rows)[nonzero])
+    return out, count
 
 
 def ray_loss(weights_list, targets_list, lambda_ray=LAMBDA_RAY, gamma=2.0, alpha=0.25):

@@ -96,52 +96,62 @@ class PointCloud:
 
 
 class VoxelField:
-    """Sparse map from voxel index to a feature vector; absent voxels read zero."""
+    """Sparse voxel features: sorted linear voxel keys and one (C,) row per key.
+
+    Keys are ``np.ravel_multi_index`` over ``grid.dims``, so key order is
+    (i, j, k) order. Absent voxels read zero.
+    """
 
     def __init__(self, grid, feature_dim=1):
         self.grid = grid
         self.feature_dim = int(feature_dim)
-        self.features = {}
-        self.occupancy = set()
+        self.keys = np.zeros(0, dtype=np.int64)
+        self.rows = np.zeros((0, self.feature_dim))
         self.dropped = 0  # out-of-bounds points discarded at voxelize time
 
+    def key_of(self, indices):
+        """Linear keys of (M, 3) voxel indices; an index outside the grid is a KeyError."""
+        idx = np.asarray(indices, dtype=np.int64).reshape(-1, 3)
+        outside = ~self.grid.contains(idx)
+        if outside.any():
+            raise KeyError(f"voxel index {tuple(idx[outside][0].tolist())} outside grid dims {self.grid.dims}")
+        return np.ravel_multi_index(idx.T, self.grid.dims)
+
+    def indices(self):
+        """(N, 3) indices of the occupied voxels, in key order."""
+        return np.stack(np.unravel_index(self.keys, self.grid.dims), axis=1)
+
     def get(self, index):
-        vec = self.features.get(tuple(index))
-        return vec.copy() if vec is not None else np.zeros(self.feature_dim)
+        key = self.key_of(index)[0]
+        pos = np.searchsorted(self.keys, key)
+        hit = pos < len(self.keys) and self.keys[pos] == key
+        return self.rows[pos].copy() if hit else np.zeros(self.feature_dim)
 
-    def _check(self, index, vec):
-        idx = tuple(int(i) for i in index)
-        if not self.grid.contains(idx):
-            raise KeyError(f"voxel index {idx} outside grid dims {self.grid.dims}")
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.shape != (self.feature_dim,):
-            raise ValueError(f"feature vector shape {vec.shape} != ({self.feature_dim},)")
-        return idx, vec
+    def add_at(self, indices, rows):
+        """Add ``rows[m]`` to the voxel at ``indices[m]``, in order m = 0, 1, ...
 
-    def set(self, index, vec):
-        idx, vec = self._check(index, vec)
-        self.features[idx] = vec.copy()
-        self.occupancy.add(idx)
-
-    def add(self, index, vec):
-        idx, vec = self._check(index, vec)
-        self.features[idx] = self.get(idx) + vec
-        self.occupancy.add(idx)
+        A voxel not yet in the field starts from zero and becomes occupied.
+        """
+        keys = self.key_of(indices)
+        rows = np.asarray(rows, dtype=np.float64)
+        if rows.shape != (len(keys), self.feature_dim):
+            raise ValueError(f"feature rows shape {rows.shape} != ({len(keys)}, {self.feature_dim})")
+        merged = np.union1d(self.keys, keys)
+        if len(merged) > len(self.keys):
+            grown = np.zeros((len(merged), self.feature_dim))
+            grown[np.searchsorted(merged, self.keys)] = self.rows
+            self.keys, self.rows = merged, grown
+        np.add.at(self.rows, np.searchsorted(self.keys, keys), rows)
 
     def copy(self):
         out = VoxelField(self.grid, self.feature_dim)
-        out.features = {k: v.copy() for k, v in self.features.items()}
-        out.occupancy = set(self.occupancy)
+        out.keys = self.keys.copy()
+        out.rows = self.rows.copy()
         out.dropped = self.dropped
         return out
 
     def __len__(self):
-        return len(self.occupancy)
-
-    def equals(self, other, atol=0.0):
-        if self.occupancy != other.occupancy:
-            return False
-        return all(np.allclose(self.features[k], other.features[k], rtol=0.0, atol=atol) for k in self.features)
+        return len(self.keys)
 
 
 def parse_kitti_calib(text):
@@ -300,15 +310,10 @@ def voxelize(pc, grid, feature_dim=1):
     idx = grid.index_of(pc.xyz)
     inside = np.all((idx >= 0) & (idx < np.asarray(grid.dims)), axis=1)
     field_.dropped = int((~inside).sum())
-    sums: dict[tuple, float] = {}
-    counts: dict[tuple, int] = {}
-    for row, inten in zip(idx[inside], pc.intensity[inside]):
-        key = (int(row[0]), int(row[1]), int(row[2]))
-        sums[key] = sums.get(key, 0.0) + float(inten)
-        counts[key] = counts.get(key, 0) + 1
-    for key, total in sums.items():
-        vec = np.zeros(feature_dim)
-        vec[0] = total / counts[key]
-        field_.features[key] = vec
-        field_.occupancy.add(key)
+    keys, slot = np.unique(np.ravel_multi_index(idx[inside].T, grid.dims), return_inverse=True)
+    # bincount sums in point order, as a running float sum would
+    sums = np.bincount(slot, weights=pc.intensity[inside], minlength=len(keys))
+    field_.keys = keys
+    field_.rows = np.zeros((len(keys), feature_dim))
+    field_.rows[:, 0] = sums / np.bincount(slot, minlength=len(keys))
     return field_

@@ -29,15 +29,7 @@ from .augment import (
     warp_affine,
 )
 from .autodiff import Tensor, add, backward, collect_params, zero_grads
-from .fusion import (
-    ViewMLPTable,
-    fuse_local,
-    fuse_rays,
-    fuse_single,
-    gaussian_target_3d,
-    make_fuse_conv,
-    score_ray,
-)
+from .fusion import ViewMLPTable, fuse, gaussian_target_3d, make_fuse_conv, score_ray
 from .gradcheck import finite_diff_grad_check
 from .geometry import PointCloud, ProjectionTransform, compose_projection, make_camera_matrix, voxelize
 from .rays import construct_ray, index_frame
@@ -217,12 +209,12 @@ class RunReport:
 
 
 def field_digest(field):
-    """Order-independent bitwise digest of a voxel field's contents."""
-    h = hashlib.sha256()
-    for key in sorted(field.features):
-        h.update(np.asarray(key, dtype=np.int64).tobytes())
-        h.update(field.features[key].tobytes())
-    return h.hexdigest()
+    """Bitwise digest of a voxel field's contents, independent of how it was built.
+
+    Per voxel in (i, j, k) order: its index as three int64, then the raw bytes of its row.
+    """
+    data = np.hstack([field.indices().astype(np.int64), field.rows.view(np.int64)])
+    return hashlib.sha256(data.tobytes()).hexdigest()
 
 
 def _scaled_affine(affine, stride):
@@ -394,27 +386,9 @@ def run_fusion_pass(cfg, heads=None, scene=None, seed=None, threads=None):
     report.ray_count = len(rays)
     feats_per_ray = [ray_feature(scene, r.pixel) for r in rays]
 
-    mlp = heads.mlp_for(scene.view)
-    mode = cfg.fusion.mode
-    t0 = time.perf_counter()
-    if mode == "ray_wise":
-        fused, _, chosen = fuse_rays(field, rays, feats_per_ray, mlp, heads.fuse_conv, cfg.fusion)
-        report.fused_count = len(chosen)
-    else:
-        fused = field
-        touched = 0
-        for ray, feat in zip(rays, feats_per_ray):
-            if mode == "single":
-                fused = fuse_single(fused, ray, feat, mlp, heads.fuse_conv)
-                touched += len(ray.anchors)
-            else:
-                flavour = "aggregate" if mode == "local_aggregate" else "propagate"
-                fused = fuse_local(
-                    fused, ray, feat, mlp, heads.fuse_conv, flavour, cfg.fusion.radius, cfg.fusion.target_sigma
-                )
-                touched += len(ray.anchors)
-        report.fused_count = touched
-    timings["fuse"] = time.perf_counter() - t0
+    fused, report.fused_count = stage(
+        "fuse", fuse, field, rays, feats_per_ray, heads.mlp_for(scene.view), heads.fuse_conv, cfg.fusion
+    )
     report.occupancy_after = len(fused)
 
     _, parts = stage("losses", scene_losses, scene, cfg, heads, rays, feats_per_ray)

@@ -56,9 +56,7 @@ def brute_force_ray_oracle(vt, grid, pixel):
 
 def _occupied(voxels, voxel_field):
     """Mask of the (N, 3) voxel rows that the field occupies, by linear voxel key."""
-    dims = voxel_field.grid.dims
-    occupied = np.array(list(voxel_field.occupancy), dtype=np.int64).reshape(-1, 3)
-    return np.isin(np.ravel_multi_index(voxels.T, dims), np.ravel_multi_index(occupied.T, dims))
+    return np.isin(np.ravel_multi_index(voxels.T, voxel_field.grid.dims), voxel_field.keys)
 
 
 def _tuples(rows):

@@ -20,9 +20,7 @@ from rayfuse.config import load_config
 from rayfuse.fusion import (
     FusionConfig,
     RayWeights,
-    fuse_local,
-    fuse_ray,
-    fuse_single,
+    fuse,
     gaussian_target_3d,
     make_coord_mlp,
     make_fuse_conv,
@@ -34,6 +32,7 @@ from rayfuse.losses import bce_elements, focal_elements
 from rayfuse.pipeline import (
     _sample_pixels,
     build_rays,
+    field_digest,
     gen_scene,
     gradient_check,
     ray_feature,
@@ -169,20 +168,19 @@ def test_criterion_6_fusion_algebra():
     fuse_conv = make_fuse_conv(channels, rng=rng)
 
     # zero-weight no-op, bitwise
-    pixel = vt.project(sorted(field.occupancy)[0])
+    pixel = vt.project(field.indices()[0])
     ray = mark_anchors(construct_ray(vt, grid, pixel), field)
     weights = RayWeights(ray, Tensor(np.zeros(len(ray))))
-    out = fuse_ray(field, ray, Tensor(np.zeros(channels)), mlp, fuse_conv, FusionConfig(), weights)
-    assert out.equals(field, atol=0.0) and out.occupancy == field.occupancy
+    out, _ = fuse(field, [ray], [Tensor(np.zeros(channels))], mlp, fuse_conv, FusionConfig(), [weights])
+    assert field_digest(out) == field_digest(field)
 
     # local fusion with r=0 equals single fusion within 1e-12
     feat = Tensor(rng.normal(size=channels))
-    for mode in ("aggregate", "propagate"):
-        got = fuse_local(field, ray, feat, mlp, fuse_conv, mode, radius=0.0)
-        want = fuse_single(field, ray, feat, mlp, fuse_conv)
-        assert got.occupancy == want.occupancy
-        for v in got.features:
-            np.testing.assert_allclose(got.get(v), want.get(v), atol=1e-12)
+    want, _ = fuse(field, [ray], [feat], mlp, fuse_conv, FusionConfig(mode="single"))
+    for mode in ("local_aggregate", "local_propagate"):
+        got, _ = fuse(field, [ray], [feat], mlp, fuse_conv, FusionConfig(mode=mode, radius=0.0))
+        np.testing.assert_array_equal(got.keys, want.keys)
+        np.testing.assert_allclose(got.rows, want.rows, rtol=0.0, atol=1e-12)
 
     # quarter-rule cardinality on 50 random scenes
     rng2 = np.random.default_rng(99)

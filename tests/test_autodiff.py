@@ -14,10 +14,8 @@ from rayfuse.autodiff import (
     Tensor,
     backward,
     conv2d,
-    conv2d_forward,
     linear,
     matmul,
-    mlp_forward,
     mul,
     sigmoid,
     tsum,
@@ -86,7 +84,7 @@ class TestConv2d:
         bad = np.zeros((1, 4, 4))
         bad[0, 0, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            conv2d_forward(Tensor(bad), head)
+            head(Tensor(bad))
 
 
 class TestMLP:
@@ -94,21 +92,21 @@ class TestMLP:
         m = MLP([3, 3])
         m.layers[0].weight.data[...] = np.eye(3)
         m.layers[0].bias.data[...] = 0.0
-        out = mlp_forward(np.array([1.0, 2.0, 3.0]), m)
+        out = m(np.array([1.0, 2.0, 3.0]))
         np.testing.assert_array_equal(out.data, [1.0, 2.0, 3.0])
 
     def test_zero_weights_give_bias(self):
         m = MLP([3, 2])
         m.layers[0].weight.data[...] = 0.0
         m.layers[0].bias.data[...] = 0.5
-        out = mlp_forward(np.array([4.0, -1.0, 2.0]), m)
+        out = m(np.array([4.0, -1.0, 2.0]))
         np.testing.assert_array_equal(out.data, [0.5, 0.5])
 
     def test_two_layer_matches_matmul_oracle(self):
         rng = np.random.default_rng(3)
         m = MLP([3, 5, 4], rng=rng)
         x = rng.normal(size=3)
-        out = mlp_forward(x, m)
+        out = m(x)
         h = np.maximum(m.layers[0].weight.data @ x + m.layers[0].bias.data, 0.0)
         expect = m.layers[1].weight.data @ h + m.layers[1].bias.data
         assert np.abs(out.data - expect).max() < 1e-12
@@ -117,14 +115,14 @@ class TestMLP:
         rng = np.random.default_rng(4)
         m = MLP([3, 6, 6], rng=rng)
         xs = rng.normal(size=(5, 3))
-        batch = mlp_forward(xs, m).data
+        batch = m(xs).data
         for i in range(5):
-            np.testing.assert_allclose(batch[i], mlp_forward(xs[i], m).data, atol=1e-14)
+            np.testing.assert_allclose(batch[i], m(xs[i]).data, atol=1e-14)
 
     def test_rejects_nonfinite(self):
         m = MLP([3, 2])
         with pytest.raises(ValueError, match="non-finite"):
-            mlp_forward(np.array([1.0, np.inf, 0.0]), m)
+            m(np.array([1.0, np.inf, 0.0]))
 
 
 class TestSigmoid:

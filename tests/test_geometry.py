@@ -7,6 +7,7 @@ from rayfuse.geometry import (
     GridSpec,
     PointCloud,
     ProjectionTransform,
+    VoxelField,
     compose_projection,
     make_camera_matrix,
     parse_kitti_calib,
@@ -195,7 +196,7 @@ class TestVoxelize:
         grid = simple_grid()
         pc = PointCloud([[*grid.world_of((3, 4, 5)), 0.7]])
         field = voxelize(pc, grid)
-        assert field.occupancy == {(3, 4, 5)}
+        assert field.indices().tolist() == [[3, 4, 5]]
         assert field.get((3, 4, 5))[0] == 0.7
 
     def test_two_points_mean_intensity(self):
@@ -213,15 +214,18 @@ class TestVoxelize:
         field = voxelize(PointCloud(pts), grid)
         expect = {}
         dropped = 0
-        for x, y, z, _ in pts:
+        for x, y, z, intensity in pts:
             i, j, k = int(np.floor(x / 0.5)), int(np.floor(y / 0.5)), int(np.floor(z / 0.5))
             if 0 <= i < 8 and 0 <= j < 8 and 0 <= k < 8:
-                expect.setdefault((i, j, k), 0)
-                expect[(i, j, k)] += 1
+                total, count = expect.get((i, j, k), (0.0, 0))
+                expect[(i, j, k)] = (total + intensity, count + 1)
             else:
                 dropped += 1
-        assert field.occupancy == set(expect)
+        assert field.indices().tolist() == [list(v) for v in sorted(expect)]
         assert field.dropped == dropped
+        # the same sums in the same point order: equal bit for bit
+        for voxel, (total, count) in expect.items():
+            assert field.get(voxel)[0] == total / count
 
     def test_absent_voxel_reads_zero(self):
         field = voxelize(PointCloud(np.zeros((0, 4))), simple_grid(), feature_dim=3)
@@ -242,3 +246,32 @@ def test_pointcloud_bin_round_trip(tmp_path):
 def test_pointcloud_rejects_nonfinite():
     with pytest.raises(ValueError, match="non-finite"):
         PointCloud([[0.0, np.nan, 0.0, 0.0]])
+
+
+class TestVoxelField:
+    def test_add_at_accumulates_in_order_and_keeps_keys_sorted(self):
+        field = VoxelField(simple_grid(), feature_dim=2)
+        field.add_at([(3, 0, 1), (0, 2, 0), (3, 0, 1)], [[1e16, 1.0], [2.0, 2.0], [1.0, 3.0]])
+        field.add_at([(3, 0, 1), (1, 1, 1)], [[-1e16, 0.5], [4.0, 4.0]])
+        assert field.indices().tolist() == [[0, 2, 0], [1, 1, 1], [3, 0, 1]]
+        assert np.all(np.diff(field.keys) > 0)
+        # (1e16 + 1) - 1e16 is 0 in float64: the adds ran in the order given
+        np.testing.assert_array_equal(field.get((3, 0, 1)), [0.0, 4.5])
+        np.testing.assert_array_equal(field.get((0, 2, 0)), [2.0, 2.0])
+        assert len(field) == 3
+
+    def test_add_at_rejects_outside_index_and_bad_rows(self):
+        field = VoxelField(simple_grid(), feature_dim=2)
+        with pytest.raises(KeyError, match="outside grid"):
+            field.add_at([(0, 0, 0), (0, -1, 0)], np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="shape"):
+            field.add_at([(0, 0, 0)], np.zeros((1, 3)))
+        assert len(field) == 0
+
+    def test_copy_is_independent(self):
+        field = VoxelField(simple_grid(), feature_dim=1)
+        field.add_at([(1, 2, 3)], [[1.0]])
+        twin = field.copy()
+        twin.add_at([(1, 2, 3), (0, 0, 0)], [[1.0], [1.0]])
+        assert len(field) == 1 and field.get((1, 2, 3))[0] == 1.0
+        assert len(twin) == 2 and twin.get((1, 2, 3))[0] == 2.0

@@ -166,6 +166,23 @@ class TestRunFusionPass:
             _, report = run_fusion_pass(cfg)
             assert report.losses["total"] > 0
 
+    def test_fusion_errors_name_the_fuse_stage(self):
+        # heads of 8 channels on 16-channel features fail inside fusion, in every mode
+        for mode in ("single", "local_aggregate", "local_propagate", "ray_wise"):
+            with pytest.raises(RuntimeError, match="^stage fuse: "):
+                run_fusion_pass(cfg_with(f"fusion.mode={mode}"), heads=FusionHeads(8))
+
+    def test_sigma_zero_local_fusion_is_radius_zero(self):
+        # sigma 0 gives ball voxels off the anchor weight 0, as the 3D target
+        # does: the pass equals radius 0, with no warning
+        for mode in ("local_aggregate", "local_propagate"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                fused, report = run_fusion_pass(cfg_with(f"fusion.mode={mode}", "fusion.radius=1.5", "fusion.sigma=0"))
+                zero, _ = run_fusion_pass(cfg_with(f"fusion.mode={mode}", "fusion.radius=0", "fusion.sigma=0"))
+            assert report.fused_count > 0
+            assert field_digest(fused) == field_digest(zero)
+
     def test_augmented_pass_deterministic(self):
         cfg = cfg_with("augment.enabled=true", "augment.flip=true", "augment.rescale=1.05", "augment.rotate=0.2")
         _, r1 = run_fusion_pass(cfg)

@@ -123,8 +123,7 @@ class TestMarkAnchors:
         vt = default_transform(grid, stride=1, image_dims=(64, 64), fx=60.0)
         ray = construct_ray(vt, grid, (32, 32))
         field = VoxelField(grid)
-        for idx in occupy:
-            field.set(idx, [1.0])
+        field.add_at(occupy, np.ones((len(occupy), 1)))
         return ray, field
 
     def test_empty_field_no_anchors(self):
@@ -147,7 +146,8 @@ class TestMarkAnchors:
         for _ in range(50):
             pixel = (int(rng.integers(0, fw)), int(rng.integers(0, fh)))
             ray = mark_anchors(construct_ray(vt, grid, pixel), field)
-            want = [v for v in ray.voxels if v in field.occupancy]
+            occupied = set(map(tuple, field.indices().tolist()))
+            want = [v for v in ray.voxels if v in occupied]
             assert list(ray.anchors) == want
             hits += len(want)
         assert hits > 0
@@ -198,8 +198,8 @@ def frames(draw):
     pixels = [(int(rng.integers(fw)), int(rng.integers(fh))) for _ in range(4)]
     pixels += [hits[i] for i in rng.integers(len(hits), size=4)] if hits else []
     field = VoxelField(grid)
-    for idx in grid.all_indices()[rng.random(grid.n_voxels) < 0.3]:
-        field.set(idx, [1.0])
+    occupy = grid.all_indices()[rng.random(grid.n_voxels) < 0.3]
+    field.add_at(occupy, np.ones((len(occupy), 1)))
     return vt, grid, pixels, field
 
 
@@ -211,7 +211,8 @@ def test_index_equals_oracle(frame):
         assert_same_ray(construct_ray(vt, grid, pixel), brute_force_ray_oracle(vt, grid, pixel))
     rays = build_rays(vt, grid, pixels, field)
     assert [r.pixel for r in rays] == sorted(pixels)
+    occupied = set(map(tuple, field.indices().tolist()))
     for ray in rays:
         assert_same_ray(ray, brute_force_ray_oracle(vt, grid, ray.pixel))
-        assert list(ray.anchors) == [v for v in ray.voxels if v in field.occupancy]
+        assert list(ray.anchors) == [v for v in ray.voxels if v in occupied]
         assert mark_anchors(ray, field).anchors == ray.anchors
