@@ -8,9 +8,7 @@
 import numpy as np
 
 from rayfuse.config import load_config
-from rayfuse.fusion import score_ray
-from rayfuse.geometry import ProjectionTransform, voxelize
-from rayfuse.pipeline import _sample_pixels, build_rays, gen_scene, gradient_check, ray_feature, train_heads
+from rayfuse.pipeline import gen_scene, gradient_check, prepare_scene, score_rays, train_heads
 
 cfg = load_config(overrides=["train.steps=120"])
 
@@ -26,14 +24,11 @@ print(f"step {len(losses) - 1:4d}  loss {losses[-1]:7.4f}")
 # after training, weight mass concentrates at anchor voxels
 anchors, far = [], []
 for i in range(cfg.train.scenes):
-    scene = gen_scene(cfg, cfg.scene.seed + i)
-    vt = ProjectionTransform(scene.calib, scene.grid, cfg.camera.stride, (cfg.camera.image_h, cfg.camera.image_w))
-    field = voxelize(scene.points, scene.grid, cfg.scene.channels)
-    sample = _sample_pixels(scene, cfg, vt, heads, np.random.default_rng(cfg.scene.seed + 1000 + i))
-    for ray in build_rays(vt, scene.grid, sample.pixels, field):
+    prep = prepare_scene(gen_scene(cfg, cfg.scene.seed + i), cfg, heads, np.random.default_rng(cfg.scene.seed + 1000 + i))
+    for weights in score_rays(prep, heads):
+        ray, w = weights.ray, weights.values
         if not len(ray):
             continue
-        w = score_ray(ray, ray_feature(scene, ray.pixel), heads.mlp_for(0), scene.grid).values
         pos = np.asarray(ray.voxels, dtype=np.float64)
         if ray.anchors:
             d = np.sqrt(((pos[:, None, :] - np.asarray(ray.anchors, float)[None]) ** 2).sum(2)).min(1)

@@ -34,7 +34,7 @@ from .geometry import (
 )
 from .gradcheck import finite_diff_grad_check
 from .losses import bce_loss, focal_loss
-from .pipeline import FusionHeads, RunReport, Scene, gen_scene, run_fusion_pass, train_heads
+from .pipeline import FusionHeads, RunReport, Scene, gen_scene, prepare_scene, run_fusion_pass, train_heads
 from .rays import Ray, brute_force_ray_oracle, construct_ray, index_frame, mark_anchors
 from .sampler import (
     PixelSampleSet,

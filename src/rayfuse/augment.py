@@ -50,11 +50,6 @@ class AugmentRecord:
         """4x4 homogeneous map that was applied to world points."""
         return self._point_matrix.copy()
 
-    def apply_points(self, xyz):
-        pts = np.asarray(xyz, dtype=np.float64)
-        h = np.concatenate([pts, np.ones((pts.shape[0], 1))], axis=1)
-        return (h @ self._point_matrix.T)[:, :3]
-
     def apply_pixels(self, uv):
         """Run continuous pixel coordinates through the image affine."""
         uv = np.asarray(uv, dtype=np.float64)

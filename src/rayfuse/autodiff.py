@@ -34,7 +34,6 @@ __all__ = [
     "Conv2d",
     "Linear",
     "ReLU",
-    "Sigmoid",
     "Module2D",
     "MLP",
     "collect_params",
@@ -80,10 +79,6 @@ class Param(Tensor):
 
     def zero_grad(self):
         self.grad[...] = 0.0
-
-    def step(self, lr):
-        """Plain gradient-descent update."""
-        self.data -= lr * self.grad
 
     def __repr__(self):
         return f"Param(shape={self.shape})"
@@ -449,14 +444,6 @@ class ReLU:
         return []
 
 
-class Sigmoid:
-    def __call__(self, x):
-        return sigmoid(x)
-
-    def params(self):
-        return []
-
-
 class Module2D:
     """Ordered stack of conv / activation layers preserving spatial dims."""
 
@@ -470,9 +457,6 @@ class Module2D:
         for layer in self.layers:
             x = layer(x)
         return x
-
-    def forward(self, x):
-        return self(x)
 
     def params(self):
         out = []
@@ -497,9 +481,6 @@ class MLP:
             if i < len(self.layers) - 1:
                 x = relu(x)
         return x
-
-    def forward(self, x):
-        return self(x)
 
     def params(self):
         out = []

@@ -14,17 +14,18 @@ import sys
 import numpy as np
 
 from .config import dump_config, load_config
-from .geometry import ProjectionTransform, voxelize
 from .pipeline import (
     FusionHeads,
     bench_rays,
     gen_scene,
     gradient_check,
+    pixel_windows,
+    prepare_scene,
     run_fusion_pass,
+    scene_transform,
     train_heads,
 )
 from .rays import brute_force_ray_oracle, construct_ray, index_frame
-from .sampler import heuristic_sample, partition_windows
 
 GRAD_TOL = 1e-4
 
@@ -49,23 +50,45 @@ def _common(sub):
     sub.add_argument("--seed", type=int, help="override the scene seed")
 
 
+# Flags that are shorthands for --set overrides, by argparse dest. They
+# apply after the --set ones, and load_config validates them alike.
+FLAG_KEYS = {
+    "seed": ("scene.seed",),
+    "mode": ("fusion.mode",),
+    "radius": ("fusion.radius",),
+    "steps": ("train.steps",),
+    "lr": ("train.lr",),
+    "grid": ("grid.nx", "grid.ny", "grid.nz"),
+}
+
+
+def _nonnegative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _load(args):
     overrides = list(args.overrides)
-    if args.seed is not None:
-        overrides.append(f"scene.seed={args.seed}")
+    for dest, keys in FLAG_KEYS.items():
+        value = getattr(args, dest, None)
+        if value is not None:
+            overrides += [f"{key}={value}" for key in keys]
     return load_config(args.config, overrides)
 
 
-def _transform(cfg, scene):
-    return ProjectionTransform(scene.calib, scene.grid, cfg.camera.stride, (cfg.camera.image_h, cfg.camera.image_w))
+def _prepare(cfg):
+    """The configured scene, prepared with fresh heads and the scene seed's rng."""
+    heads = FusionHeads(cfg.scene.channels, rng=np.random.default_rng(cfg.scene.seed))
+    return prepare_scene(gen_scene(cfg), cfg, heads, np.random.default_rng(cfg.scene.seed))
 
 
 def cmd_gen_scene(args):
     cfg = _load(args)
     emit = Emitter(args.out)
     scene = gen_scene(cfg)
-    vt = _transform(cfg, scene)
-    uv, depth = vt.project_world(scene.points.xyz)
+    uv, depth = scene_transform(scene, cfg).project_world(scene.points.xyz)
     inside = (depth > 0) & (uv[:, 0] >= 0) & (uv[:, 0] < cfg.camera.image_w) & (uv[:, 1] >= 0) & (uv[:, 1] < cfg.camera.image_h)
     if args.dump_points:
         scene.points.save_bin(args.dump_points)
@@ -85,10 +108,8 @@ def cmd_gen_scene(args):
 def cmd_project(args):
     cfg = _load(args)
     emit = Emitter(args.out)
-    scene = gen_scene(cfg)
-    vt = _transform(cfg, scene)
-    field = voxelize(scene.points, scene.grid, cfg.scene.channels)
-    indices = field.indices()
+    prep = _prepare(cfg)
+    vt, indices = prep.vt, prep.field.indices()
     hits = behind = out_of_image = 0
     for idx in indices:
         px = vt.project(idx)
@@ -114,23 +135,10 @@ def cmd_project(args):
 def cmd_sample(args):
     cfg = _load(args)
     emit = Emitter(args.out)
-    scene = gen_scene(cfg)
-    vt = _transform(cfg, scene)
-    uv, depth = vt.project_world(scene.points.xyz)
-    front = depth > 0
-    feat_px = [(int(u // vt.stride), int(v // vt.stride)) for u, v in np.floor(uv[front])]
-    partition = partition_windows(vt.feature_dims, feat_px, cfg.sampler.window)
+    prep = _prepare(cfg)
+    partition = pixel_windows(prep.scene, cfg, prep.vt)
     emit.record("windows", total=len(partition.windows), kept=len(partition.nonempty()))
-    rng = np.random.default_rng(cfg.scene.seed)
-    if cfg.sampler.mode == "importance":
-        heads = FusionHeads(cfg.scene.channels, rng=np.random.default_rng(cfg.scene.seed))
-        from .autodiff import Tensor
-        from .sampler import importance_sample
-
-        got = importance_sample(Tensor(scene.feats), heads.sampler_head, partition, cfg.sampler.rays, rng)
-    else:
-        got = heuristic_sample(partition, cfg.sampler.mode, cfg.sampler.rays, rng)
-    emit.record("summary", mode=cfg.sampler.mode, sampled=len(got), requested=cfg.sampler.rays, seed=cfg.scene.seed)
+    emit.record("summary", mode=cfg.sampler.mode, sampled=len(prep.rays), requested=cfg.sampler.rays, seed=cfg.scene.seed)
     emit.close()
     return 0
 
@@ -139,7 +147,7 @@ def cmd_rays(args):
     cfg = _load(args)
     emit = Emitter(args.out)
     scene = gen_scene(cfg)
-    vt = _transform(cfg, scene)
+    vt = scene_transform(scene, cfg)
     fh, fw = vt.feature_dims
     rng = np.random.default_rng(cfg.scene.seed)
     index = index_frame(vt, scene.grid)
@@ -170,11 +178,6 @@ def cmd_rays(args):
 
 def cmd_fuse(args):
     cfg = _load(args)
-    if args.mode:
-        cfg.fusion.mode = args.mode
-        cfg.fusion.__post_init__()
-    if args.radius is not None:
-        cfg.fusion.radius = args.radius
     emit = Emitter(args.out)
     _, report = run_fusion_pass(cfg, threads=args.threads)
     emit.record("report", **report.to_json())
@@ -185,10 +188,6 @@ def cmd_fuse(args):
 
 def cmd_train(args):
     cfg = _load(args)
-    if args.steps is not None:
-        cfg.train.steps = args.steps
-    if args.lr is not None:
-        cfg.train.lr = args.lr
     emit = Emitter(args.out)
     heads, losses = train_heads(cfg)
     for i, value in enumerate(losses):
@@ -219,9 +218,6 @@ def cmd_grad_check(args):
 
 def cmd_bench(args):
     cfg = _load(args)
-    if args.grid:
-        for key in ("nx", "ny", "nz"):
-            setattr(cfg.grid, key, args.grid)
     counts = [int(c) for c in args.rays.split(",")]
     emit = Emitter(args.out)
     rows, slope, intercept, r2 = bench_rays(cfg, counts, threads=args.threads)
@@ -257,7 +253,7 @@ def build_parser():
 
     p = subs.add_parser("rays", help="construct rays for random pixels")
     _common(p)
-    p.add_argument("--pixels", type=int, default=64)
+    p.add_argument("--pixels", type=_nonnegative_int, default=64)
     p.add_argument("--verify", action="store_true", help="check each ray against the brute-force oracle")
     p.set_defaults(fn=cmd_rays)
 

@@ -16,6 +16,7 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .augment import (
 from .autodiff import Tensor, add, backward, collect_params, zero_grads
 from .fusion import ViewMLPTable, fuse, gaussian_target_3d, make_fuse_conv, score_ray
 from .gradcheck import finite_diff_grad_check
-from .geometry import PointCloud, ProjectionTransform, compose_projection, make_camera_matrix, voxelize
+from .geometry import PointCloud, ProjectionTransform, VoxelField, compose_projection, make_camera_matrix, voxelize
 from .rays import construct_ray, index_frame
 from .sampler import (
     gaussian_target_2d,
@@ -217,6 +218,12 @@ def field_digest(field):
     return hashlib.sha256(data.tobytes()).hexdigest()
 
 
+def scene_transform(scene, cfg, record=None):
+    """The scene's camera projection, composed with an augmentation record if given."""
+    cam = cfg.camera
+    return compose_projection(scene.grid, scene.calib, record, cam.stride, (cam.image_h, cam.image_w))
+
+
 def _scaled_affine(affine, stride):
     # image-pixel affine re-expressed in feature-map pixels
     out = affine.copy()
@@ -233,7 +240,7 @@ def apply_augmentations(scene, cfg, rng):
         return scene, record
 
     cam = cfg.camera
-    base_vt = ProjectionTransform(scene.calib, scene.grid, cam.stride, (cam.image_h, cam.image_w))
+    base_vt = scene_transform(scene, cfg)
     if cfg.augment.sample_db:
         objects = load_object_db(cfg.augment.sample_db)
         points, image, _ = gt_sample_paste(points, image, objects, base_vt)
@@ -287,11 +294,15 @@ def apply_augmentations(scene, cfg, rng):
     return out, record
 
 
-def _sample_pixels(scene, cfg, vt, heads, rng):
+def pixel_windows(scene, cfg, vt):
+    """The sampler's window partition, counting the scene's points in front of the camera."""
     uv, depth = vt.project_world(scene.points.xyz)
-    front = depth > 0
-    feat_px = [(int(u // vt.stride), int(v // vt.stride)) for u, v in np.floor(uv[front])]
-    partition = partition_windows(vt.feature_dims, feat_px, cfg.sampler.window)
+    feat_px = [(int(u // vt.stride), int(v // vt.stride)) for u, v in np.floor(uv[depth > 0])]
+    return partition_windows(vt.feature_dims, feat_px, cfg.sampler.window)
+
+
+def _sample_pixels(scene, cfg, vt, heads, rng):
+    partition = pixel_windows(scene, cfg, vt)
     if cfg.sampler.mode == "importance":
         return importance_sample(Tensor(scene.feats), heads.sampler_head, partition, cfg.sampler.rays, rng)
     return heuristic_sample(partition, cfg.sampler.mode, cfg.sampler.rays, rng)
@@ -306,22 +317,58 @@ def build_rays(vt, grid, pixels, field, threads=1):
     return [construct_ray(vt, grid, p, index) for p in sorted(pixels)]
 
 
-def scene_losses(scene, cfg, heads, rays, feats_per_ray):
-    """(total, parts) of the supervised objective on one scene."""
-    target2d = gaussian_target_2d(
-        [tuple(np.asarray(b) / cfg.camera.stride) for b in scene.boxes2d], heads_dims(scene)
-    )
+def _stage(timings, name, fn, *args):
+    # run one pipeline stage: its wall time goes into ``timings``, its errors are tagged with its name
+    t0 = time.perf_counter()
+    try:
+        result = fn(*args)
+    except Exception as exc:
+        raise RuntimeError(f"stage {name}: {exc}") from exc
+    timings[name] = time.perf_counter() - t0
+    return result
+
+
+class PreparedScene(NamedTuple):
+    """A scene made ready for fusion: its projection, voxel field, rays and per-ray image features."""
+
+    scene: Scene
+    vt: ProjectionTransform
+    field: VoxelField
+    rays: list
+    feats: list
+    timings: dict  # seconds per stage: compose, voxelize, sample, rays
+
+
+def prepare_scene(scene, cfg, heads, rng, record=None):
+    """Project, voxelize, sample pixels and build one ray per sampled pixel.
+
+    ``record`` is the augmentation already applied to ``scene``, if any;
+    ``rng`` drives the pixel sampler. Errors are tagged with the stage name.
+    """
+    timings = {}
+    vt = _stage(timings, "compose", scene_transform, scene, cfg, record)
+    field = _stage(timings, "voxelize", voxelize, scene.points, scene.grid, cfg.scene.channels)
+    sample = _stage(timings, "sample", _sample_pixels, scene, cfg, vt, heads, rng)
+    rays = _stage(timings, "rays", build_rays, vt, scene.grid, sample.pixels, field)
+    feats = [Tensor(scene.feats[:, r.pixel[1], r.pixel[0]]) for r in rays]
+    return PreparedScene(scene, vt, field, rays, feats, timings)
+
+
+def score_rays(prep, heads):
+    """``score_ray`` weights of every prepared ray, in ray order, under the scene's view MLP."""
+    mlp = heads.mlp_for(prep.scene.view)
+    return [score_ray(ray, feat, mlp, prep.scene.grid) for ray, feat in zip(prep.rays, prep.feats)]
+
+
+def scene_losses(scene, cfg, heads, weights):
+    """(total, parts) of the supervised objective on one scene, given its rays' weights."""
+    stride = cfg.camera.stride
+    target2d = gaussian_target_2d([tuple(np.asarray(b) / stride) for b in scene.boxes2d], scene.feats.shape[1:])
     pred = head_scores(Tensor(scene.feats), heads.sampler_head)
     l_sampler = sampler_loss(pred, target2d)
 
-    nonempty = [i for i, r in enumerate(rays) if len(r) > 0]
-    if nonempty:
-        mlp = heads.mlp_for(scene.view)
-        weights = [score_ray(rays[i], feats_per_ray[i], mlp, scene.grid) for i in nonempty]
-        targets = [
-            gaussian_target_3d(rays[i], scene.grid, cfg.fusion.radius, cfg.fusion.target_sigma)
-            for i in nonempty
-        ]
+    if any(len(w) for w in weights):
+        targets = [gaussian_target_3d(w.ray, scene.grid, cfg.fusion.radius, cfg.fusion.target_sigma) for w in weights]
         l_ray = ray_loss(weights, targets, cfg.fusion.lambda_ray, cfg.fusion.gamma, cfg.fusion.alpha)
         total = add(l_sampler, l_ray)
     else:
@@ -335,17 +382,16 @@ def scene_losses(scene, cfg, heads, rays, feats_per_ray):
     return total, parts
 
 
-def heads_dims(scene):
-    return scene.feats.shape[1:]
-
-
-def ray_feature(scene, pixel):
-    u, v = pixel
-    return Tensor(scene.feats[:, v, u])
+def _fuse_scored(prep, heads, cfg):
+    # score every ray once: the weights serve ray_wise fusion and the ray loss alike
+    weights = score_rays(prep, heads)
+    mlp = heads.mlp_for(prep.scene.view)
+    fused, count = fuse(prep.field, prep.rays, prep.feats, mlp, heads.fuse_conv, cfg, weights)
+    return fused, count, weights
 
 
 def run_fusion_pass(cfg, heads=None, scene=None, seed=None, threads=None):
-    """Full pass: augment, voxelize, sample, rays, fuse, losses.
+    """Full pass: augment, then ``prepare_scene``, then fuse and losses.
 
     Errors from individual stages propagate tagged with the stage name;
     ``threads`` is ignored. Returns (fused VoxelField, RunReport).
@@ -356,43 +402,18 @@ def run_fusion_pass(cfg, heads=None, scene=None, seed=None, threads=None):
     report = RunReport(seed=seed)
     timings = report.timings
 
-    def stage(name, fn, *args, **kwargs):
-        t0 = time.perf_counter()
-        try:
-            result = fn(*args, **kwargs)
-        except Exception as exc:
-            raise RuntimeError(f"stage {name}: {exc}") from exc
-        timings[name] = time.perf_counter() - t0
-        return result
-
     if scene is None:
-        scene = stage("gen_scene", gen_scene, cfg, seed)
-    scene, record = stage("augment", apply_augmentations, scene, cfg, rng)
-    vt = stage(
-        "compose",
-        compose_projection,
-        scene.grid,
-        scene.calib,
-        record,
-        cfg.camera.stride,
-        (cfg.camera.image_h, cfg.camera.image_w),
-    )
-    field = stage("voxelize", voxelize, scene.points, scene.grid, cfg.scene.channels)
-    report.dropped_points = field.dropped
-    report.occupancy_before = len(field)
+        scene = _stage(timings, "gen_scene", gen_scene, cfg, seed)
+    scene, record = _stage(timings, "augment", apply_augmentations, scene, cfg, rng)
+    prep = prepare_scene(scene, cfg, heads, rng, record)
+    timings.update(prep.timings)
+    report.dropped_points = prep.field.dropped
+    report.occupancy_before = len(prep.field)
+    report.ray_count = len(prep.rays)
 
-    sample = stage("sample", _sample_pixels, scene, cfg, vt, heads, rng)
-    rays = stage("rays", build_rays, vt, scene.grid, sample.pixels, field)
-    report.ray_count = len(rays)
-    feats_per_ray = [ray_feature(scene, r.pixel) for r in rays]
-
-    fused, report.fused_count = stage(
-        "fuse", fuse, field, rays, feats_per_ray, heads.mlp_for(scene.view), heads.fuse_conv, cfg.fusion
-    )
+    fused, report.fused_count, weights = _stage(timings, "fuse", _fuse_scored, prep, heads, cfg.fusion)
     report.occupancy_after = len(fused)
-
-    _, parts = stage("losses", scene_losses, scene, cfg, heads, rays, feats_per_ray)
-    report.losses = parts
+    _, report.losses = _stage(timings, "losses", scene_losses, scene, cfg, heads, weights)
     report.field_digest = field_digest(fused)
     return fused, report
 
@@ -412,23 +433,18 @@ def train_heads(cfg, scenes=None, steps=None, lr=None):
     if scenes is None:
         scenes = [gen_scene(cfg, cfg.scene.seed + i) for i in range(cfg.train.scenes)]
 
-    prepared = []
-    for i, scene in enumerate(scenes):
-        rng = np.random.default_rng(cfg.scene.seed + 1000 + i)
-        vt = ProjectionTransform(scene.calib, scene.grid, cfg.camera.stride, (cfg.camera.image_h, cfg.camera.image_w))
-        field = voxelize(scene.points, scene.grid, cfg.scene.channels)
-        sample = _sample_pixels(scene, cfg, vt, heads, rng)
-        rays = build_rays(vt, scene.grid, sample.pixels, field)
-        feats = [ray_feature(scene, r.pixel) for r in rays]
-        prepared.append((scene, rays, feats))
+    prepared = [
+        prepare_scene(scene, cfg, heads, np.random.default_rng(cfg.scene.seed + 1000 + i))
+        for i, scene in enumerate(scenes)
+    ]
 
     params = heads.params()
     losses = []
     for step in range(steps):
         zero_grads(params)
         total = 0.0
-        for scene, rays, feats in prepared:
-            loss, _ = scene_losses(scene, cfg, heads, rays, feats)
+        for prep in prepared:  # rescored every step: the MLP changes between steps
+            loss, _ = scene_losses(prep.scene, cfg, heads, score_rays(prep, heads))
             backward(loss)
             total += float(loss.data)
         total /= len(prepared)
@@ -444,15 +460,10 @@ def gradient_check(cfg, n_samples=100):
     """Finite-difference check of the full objective on a fixed scene."""
     heads = FusionHeads(cfg.scene.channels, rng=np.random.default_rng(cfg.scene.seed))
     scene = gen_scene(cfg, cfg.scene.seed)
-    rng = np.random.default_rng(cfg.scene.seed + 1)
-    vt = ProjectionTransform(scene.calib, scene.grid, cfg.camera.stride, (cfg.camera.image_h, cfg.camera.image_w))
-    field = voxelize(scene.points, scene.grid, cfg.scene.channels)
-    sample = _sample_pixels(scene, cfg, vt, heads, rng)
-    rays = build_rays(vt, scene.grid, sample.pixels, field)
-    feats = [ray_feature(scene, r.pixel) for r in rays]
+    prep = prepare_scene(scene, cfg, heads, np.random.default_rng(cfg.scene.seed + 1))
 
     def loss_fn():
-        total, _ = scene_losses(scene, cfg, heads, rays, feats)
+        total, _ = scene_losses(scene, cfg, heads, score_rays(prep, heads))
         return total
 
     return finite_diff_grad_check(loss_fn, heads.params(), n_samples=n_samples, rng=np.random.default_rng(0))
@@ -464,7 +475,7 @@ def bench_rays(cfg, counts=(512, 1024, 2048, 4096), threads=1):
     Returns (rows, slope, intercept, r_squared); rows are (count, seconds).
     """
     scene = gen_scene(cfg, cfg.scene.seed)
-    vt = ProjectionTransform(scene.calib, scene.grid, cfg.camera.stride, (cfg.camera.image_h, cfg.camera.image_w))
+    vt = scene_transform(scene, cfg)
     field = voxelize(scene.points, scene.grid, cfg.scene.channels)
     fh, fw = vt.feature_dims
     rng = np.random.default_rng(cfg.scene.seed)

@@ -24,19 +24,17 @@ from rayfuse.fusion import (
     gaussian_target_3d,
     make_coord_mlp,
     make_fuse_conv,
-    score_ray,
     select_top,
 )
-from rayfuse.geometry import ProjectionTransform, compose_projection, voxelize
+from rayfuse.geometry import compose_projection, voxelize
 from rayfuse.losses import bce_elements, focal_elements
 from rayfuse.pipeline import (
-    _sample_pixels,
-    build_rays,
     field_digest,
     gen_scene,
     gradient_check,
-    ray_feature,
+    prepare_scene,
     run_fusion_pass,
+    score_rays,
     train_heads,
 )
 from rayfuse.rays import Ray, brute_force_ray_oracle, construct_ray, mark_anchors
@@ -235,16 +233,12 @@ def test_criterion_8_toy_training():
 
     anchors, far = [], []
     for i in range(cfg.train.scenes):
-        scene = gen_scene(cfg, cfg.scene.seed + i)
-        vt = ProjectionTransform(scene.calib, scene.grid, cfg.camera.stride, (cfg.camera.image_h, cfg.camera.image_w))
-        field = voxelize(scene.points, scene.grid, cfg.scene.channels)
         rng = np.random.default_rng(cfg.scene.seed + 1000 + i)
-        sample = _sample_pixels(scene, cfg, vt, heads, rng)
-        rays = build_rays(vt, scene.grid, sample.pixels, field)
-        for ray in rays:
+        prep = prepare_scene(gen_scene(cfg, cfg.scene.seed + i), cfg, heads, rng)
+        for weights in score_rays(prep, heads):
+            ray, w = weights.ray, weights.values
             if not len(ray):
                 continue
-            w = score_ray(ray, ray_feature(scene, ray.pixel), heads.mlp_for(0), scene.grid).values
             pos = np.asarray(ray.voxels, dtype=np.float64)
             if ray.anchors:
                 a = np.asarray(ray.anchors, dtype=np.float64)

@@ -69,6 +69,29 @@ def test_rays_verify_compares_depths(tmp_path, monkeypatch):
     assert [r["record"] for r in read_records(out)] == ["mismatch"]
 
 
+def test_rays_rejects_negative_pixels(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["rays", "--pixels", "-3"])
+    assert exc.value.code == 2
+    assert "--pixels: must be >= 0, got -3" in capsys.readouterr().err
+
+
+def test_fuse_flags_are_validated_like_overrides(tmp_path):
+    out = tmp_path / "fuse.jsonl"
+    with pytest.raises(ValueError, match="radius must be >= 0"):
+        main(["fuse", "--mode", "local_aggregate", "--radius", "-1", "--out", str(out)])
+
+
+def test_flags_become_overrides():
+    parser = cli.build_parser()
+    fuse = cli._load(parser.parse_args(["fuse", "--mode", "local_propagate", "--radius", "2.5", "--set", "fusion.radius=1"]))
+    assert (fuse.fusion.mode, fuse.fusion.radius) == ("local_propagate", 2.5)
+    train = cli._load(parser.parse_args(["train", "--steps", "3", "--lr", "0.1"]))
+    assert (train.train.steps, train.train.lr) == (3, 0.1)
+    bench = cli._load(parser.parse_args(["bench", "--grid", "8"]))
+    assert bench.grid.spec().dims == (8, 8, 8)
+
+
 def test_fuse_deterministic_hash(tmp_path):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     assert main(["fuse", "--mode", "ray_wise", "--radius", "1", "--seed", "7", "--out", str(a)]) == 0

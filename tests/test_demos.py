@@ -1,7 +1,7 @@
 """Smoke test: the walkthrough demos run to completion.
 
-Demo 05 is left out: it trains the heads for 200 steps, about 15 s, and the
-training it shows is covered by acceptance criterion 8.
+Demo 05 is left out: it trains the heads for 120 steps (``train.steps=120``),
+about 10 s, and the training it shows is covered by acceptance criterion 8.
 """
 
 import os

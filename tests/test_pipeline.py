@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from rayfuse import pipeline
+from rayfuse import fusion, pipeline
 from rayfuse.augment import SampledObject, save_object_db
 from rayfuse.config import PipelineConfig, dump_config, load_config
 from rayfuse.geometry import PointCloud, ProjectionTransform, VoxelField, voxelize
@@ -17,6 +17,7 @@ from rayfuse.pipeline import (
     field_digest,
     gen_scene,
     gradient_check,
+    prepare_scene,
     run_fusion_pass,
     train_heads,
 )
@@ -183,6 +184,25 @@ class TestRunFusionPass:
             assert report.fused_count > 0
             assert field_digest(fused) == field_digest(zero)
 
+    def test_timings_name_the_eight_stages(self):
+        _, report = run_fusion_pass(cfg_with())
+        assert list(report.timings) == ["gen_scene", "augment", "compose", "voxelize", "sample", "rays", "fuse", "losses"]
+
+    def test_each_ray_scored_once(self, monkeypatch):
+        score_ray, calls = fusion.score_ray, []
+
+        def counting(*args):
+            calls.append(args[0].pixel)
+            return score_ray(*args)
+
+        monkeypatch.setattr(pipeline, "score_ray", counting)
+        monkeypatch.setattr(fusion, "score_ray", counting)
+        for mode in ("ray_wise", "single"):
+            calls.clear()
+            _, report = run_fusion_pass(cfg_with(f"fusion.mode={mode}"))
+            assert report.ray_count > 0
+            assert len(calls) == report.ray_count == len(set(calls)), mode
+
     def test_augmented_pass_deterministic(self):
         cfg = cfg_with("augment.enabled=true", "augment.flip=true", "augment.rescale=1.05", "augment.rotate=0.2")
         _, r1 = run_fusion_pass(cfg)
@@ -218,6 +238,22 @@ class TestRunFusionPass:
         assert aug_report.occupancy_before > plain_report.occupancy_before
 
 
+class TestPrepareScene:
+    def test_matches_a_pass(self):
+        cfg = cfg_with()
+        heads = FusionHeads(cfg.scene.channels)
+        prep = prepare_scene(gen_scene(cfg), cfg, heads, np.random.default_rng(cfg.scene.seed + 1))
+        _, report = run_fusion_pass(cfg, heads=heads)
+        assert list(prep.timings) == ["compose", "voxelize", "sample", "rays"]
+        assert (len(prep.field), len(prep.rays)) == (report.occupancy_before, report.ray_count)
+        assert [f.data.tolist() for f in prep.feats] == [prep.scene.feats[:, v, u].tolist() for u, v in (r.pixel for r in prep.rays)]
+
+    def test_stage_errors_are_tagged(self):
+        cfg = cfg_with("sampler.window=0")
+        with pytest.raises(RuntimeError, match="^stage sample: window size"):
+            prepare_scene(gen_scene(cfg), cfg, FusionHeads(cfg.scene.channels), np.random.default_rng(0))
+
+
 class TestBuildRays:
     def frame(self):
         cfg = cfg_with()
@@ -234,6 +270,11 @@ class TestBuildRays:
         monkeypatch.setattr(pipeline, "_sample_pixels", lambda *args: types.SimpleNamespace(pixels=[(99, 0)]))
         with pytest.raises(RuntimeError, match=r"^stage rays: pixel \(99, 0\)"):
             run_fusion_pass(cfg_with())
+
+    def test_off_map_pixel_is_a_rays_stage_error_in_training(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "_sample_pixels", lambda *args: types.SimpleNamespace(pixels=[(99, 0)]))
+        with pytest.raises(RuntimeError, match=r"^stage rays: pixel \(99, 0\)"):
+            train_heads(cfg_with("train.scenes=1"), steps=1)
 
     def test_no_pixels_no_rays(self):
         vt, grid, field = self.frame()
